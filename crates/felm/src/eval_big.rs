@@ -7,10 +7,18 @@
 //! evaluates the simple-typed fragment with closures and persistent
 //! environments in one pass.
 //!
+//! Values are the runtime's [`Value`], the domain that flows along
+//! signal-graph edges, so a node hands its inputs to the evaluator and
+//! its result onward as they are — one value domain, as in the paper's
+//! CML translation (Fig. 10). A closure is a private struct carried as
+//! [`Value::Ext`]. FElm has no booleans: a runtime `Bool` (a wire client
+//! may send one) is read as the `Int` 0/1 wherever a number is inspected.
+//!
 //! Scope: values of simple types only (unit, numbers, strings, pairs,
-//! functions). Signal forms are out of scope by construction — stage one
-//! has already reduced programs to signal terms whose embedded functions
-//! are simple-typed values (Fig. 5), and those are what nodes apply.
+//! lists, records, constructor applications, functions). Signal forms are
+//! out of scope by construction — stage one has already reduced programs
+//! to signal terms whose embedded functions are simple-typed values
+//! (Fig. 5), and those are what nodes apply.
 //!
 //! Agreement with the small-step semantics is property-tested in
 //! `tests/theorem1_prop.rs` and benchmarked (`interpreter` bench).
@@ -18,91 +26,17 @@
 use std::fmt;
 use std::sync::Arc;
 
+use elm_runtime::Value;
+
 use crate::ast::{BinOp, Expr, ExprKind, ListOp, Pattern};
 use crate::budget::Meter;
 use crate::eval::EvalError;
 
-/// A runtime value of the big-step machine.
-#[derive(Clone)]
-pub enum RtValue {
-    /// `()`
-    Unit,
-    /// An integer.
-    Int(i64),
-    /// A float.
-    Float(f64),
-    /// A string.
-    Str(Arc<str>),
-    /// A pair.
-    Pair(Arc<(RtValue, RtValue)>),
-    /// A list.
-    List(Arc<Vec<RtValue>>),
-    /// A record.
-    Record(Arc<std::collections::BTreeMap<String, RtValue>>),
-    /// A constructor application of an algebraic data type.
-    Tagged {
-        /// Constructor name.
-        tag: Arc<str>,
-        /// Arguments.
-        args: Arc<Vec<RtValue>>,
-    },
-    /// A function closure.
-    Closure {
-        /// Parameter name.
-        param: String,
-        /// Body (shared).
-        body: Arc<Expr>,
-        /// Captured environment.
-        env: Env,
-    },
-}
-
-impl fmt::Debug for RtValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RtValue::Unit => write!(f, "()"),
-            RtValue::Int(n) => write!(f, "{n}"),
-            RtValue::Float(x) => write!(f, "{x:?}"),
-            RtValue::Str(s) => write!(f, "{s:?}"),
-            RtValue::Pair(p) => write!(f, "({:?}, {:?})", p.0, p.1),
-            RtValue::List(items) => f.debug_list().entries(items.iter()).finish(),
-            RtValue::Record(fields) => {
-                let mut m = f.debug_map();
-                for (k, v) in fields.iter() {
-                    m.entry(&format_args!("{k}"), v);
-                }
-                m.finish()
-            }
-            RtValue::Tagged { tag, args } => {
-                write!(f, "{tag}")?;
-                for a in args.iter() {
-                    write!(f, " {a:?}")?;
-                }
-                Ok(())
-            }
-            RtValue::Closure { param, .. } => write!(f, "<closure λ{param}>"),
-        }
-    }
-}
-
-impl PartialEq for RtValue {
-    /// Structural equality on data; closures are never equal (functions
-    /// have no decidable equality).
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (RtValue::Unit, RtValue::Unit) => true,
-            (RtValue::Int(a), RtValue::Int(b)) => a == b,
-            (RtValue::Float(a), RtValue::Float(b)) => a == b,
-            (RtValue::Str(a), RtValue::Str(b)) => a == b,
-            (RtValue::Pair(a), RtValue::Pair(b)) => a.0 == b.0 && a.1 == b.1,
-            (RtValue::List(a), RtValue::List(b)) => a == b,
-            (RtValue::Record(a), RtValue::Record(b)) => a == b,
-            (RtValue::Tagged { tag: t1, args: a1 }, RtValue::Tagged { tag: t2, args: a2 }) => {
-                t1 == t2 && a1 == a2
-            }
-            _ => false,
-        }
-    }
+/// A function closure, carried as [`Value::Ext`].
+struct Closure {
+    param: Arc<str>,
+    body: Expr,
+    env: Env,
 }
 
 /// A persistent (immutable, shareable) environment.
@@ -110,8 +44,8 @@ impl PartialEq for RtValue {
 pub struct Env(Option<Arc<Binding>>);
 
 struct Binding {
-    name: String,
-    value: RtValue,
+    name: Arc<str>,
+    value: Value,
     next: Env,
 }
 
@@ -122,7 +56,7 @@ impl Env {
     }
 
     /// Extends with one binding (O(1), shares the tail).
-    pub fn bind(&self, name: impl Into<String>, value: RtValue) -> Env {
+    pub fn bind(&self, name: impl Into<Arc<str>>, value: Value) -> Env {
         Env(Some(Arc::new(Binding {
             name: name.into(),
             value,
@@ -131,10 +65,10 @@ impl Env {
     }
 
     /// Looks up a name (innermost binding wins).
-    pub fn lookup(&self, name: &str) -> Option<&RtValue> {
+    pub fn lookup(&self, name: &str) -> Option<&Value> {
         let mut cur = self;
         while let Some(b) = &cur.0 {
-            if b.name == name {
+            if &*b.name == name {
                 return Some(&b.value);
             }
             cur = &b.next;
@@ -148,7 +82,7 @@ impl fmt::Debug for Env {
         let mut names = Vec::new();
         let mut cur = self;
         while let Some(b) = &cur.0 {
-            names.push(b.name.as_str());
+            names.push(&*b.name);
             cur = &b.next;
         }
         write!(f, "Env{names:?}")
@@ -168,13 +102,14 @@ fn stuck<T>(reason: impl Into<String>) -> Result<T, EvalError> {
 /// [`EvalError::Stuck`] on ill-typed terms or signal forms.
 ///
 /// ```
-/// use felm::eval_big::{eval, Env, RtValue};
+/// use elm_runtime::Value;
+/// use felm::eval_big::{eval, Env};
 /// use felm::parser::parse_expr;
 ///
 /// let e = parse_expr("(\\x y -> x * y + 1) 6 7").unwrap();
-/// assert_eq!(eval(&Env::empty(), &e).unwrap(), RtValue::Int(43));
+/// assert_eq!(eval(&Env::empty(), &e).unwrap(), Value::Int(43));
 /// ```
-pub fn eval(env: &Env, e: &Expr) -> Result<RtValue, EvalError> {
+pub fn eval(env: &Env, e: &Expr) -> Result<Value, EvalError> {
     eval_metered(env, e, &mut Meter::unlimited())
 }
 
@@ -190,7 +125,7 @@ pub fn eval(env: &Env, e: &Expr) -> Result<RtValue, EvalError> {
 ///
 /// [`EvalError::Stuck`] on ill-typed terms, [`EvalError::Trap`] on budget
 /// exhaustion.
-pub fn eval_metered(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalError> {
+pub fn eval_metered(env: &Env, e: &Expr, meter: &mut Meter) -> Result<Value, EvalError> {
     meter.tick()?;
     meter.enter()?;
     let r = eval_node(env, e, meter);
@@ -198,14 +133,14 @@ pub fn eval_metered(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, E
     r
 }
 
-fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalError> {
+fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<Value, EvalError> {
     match &e.kind {
-        ExprKind::Unit => Ok(RtValue::Unit),
-        ExprKind::Int(n) => Ok(RtValue::Int(*n)),
-        ExprKind::Float(x) => Ok(RtValue::Float(*x)),
+        ExprKind::Unit => Ok(Value::Unit),
+        ExprKind::Int(n) => Ok(Value::Int(*n)),
+        ExprKind::Float(x) => Ok(Value::Float(*x)),
         ExprKind::Str(s) => {
             meter.alloc(1 + s.len() as u64)?;
-            Ok(RtValue::Str(Arc::from(s.as_str())))
+            Ok(Value::Str(Arc::from(s.as_str())))
         }
         ExprKind::Var(x) => match env.lookup(x) {
             Some(v) => Ok(v.clone()),
@@ -213,11 +148,11 @@ fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalErro
         },
         ExprKind::Lam { param, body, .. } => {
             meter.alloc(1)?;
-            Ok(RtValue::Closure {
-                param: param.clone(),
-                body: Arc::new((**body).clone()),
+            Ok(Value::Ext(Arc::new(Closure {
+                param: Arc::from(param.as_str()),
+                body: (**body).clone(),
                 env: env.clone(),
-            })
+            })))
         }
         ExprKind::App(f, a) => {
             let fv = eval_metered(env, f, meter)?;
@@ -229,34 +164,32 @@ fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalErro
             let bv = eval_metered(env, b, meter)?;
             delta(*op, &av, &bv, meter)
         }
-        ExprKind::If(c, t, f) => match eval_metered(env, c, meter)? {
-            RtValue::Int(n) => {
-                if n != 0 {
-                    eval_metered(env, t, meter)
-                } else {
-                    eval_metered(env, f, meter)
-                }
+        ExprKind::If(c, t, f) => {
+            let cv = eval_metered(env, c, meter)?;
+            match int(&cv) {
+                Some(0) => eval_metered(env, f, meter),
+                Some(_) => eval_metered(env, t, meter),
+                None => stuck(format!("if-condition is not an integer: {cv:?}")),
             }
-            other => stuck(format!("if-condition is not an integer: {other:?}")),
-        },
+        }
         ExprKind::Let { name, value, body } => {
             let v = eval_metered(env, value, meter)?;
             meter.alloc(1)?;
-            eval_metered(&env.bind(name.clone(), v), body, meter)
+            eval_metered(&env.bind(name.as_str(), v), body, meter)
         }
         ExprKind::Pair(a, b) => {
             meter.alloc(1)?;
-            Ok(RtValue::Pair(Arc::new((
+            Ok(Value::Pair(Arc::new((
                 eval_metered(env, a, meter)?,
                 eval_metered(env, b, meter)?,
             ))))
         }
         ExprKind::Fst(p) => match eval_metered(env, p, meter)? {
-            RtValue::Pair(pr) => Ok(pr.0.clone()),
+            Value::Pair(pr) => Ok(pr.0.clone()),
             other => stuck(format!("fst of a non-pair: {other:?}")),
         },
         ExprKind::Snd(p) => match eval_metered(env, p, meter)? {
-            RtValue::Pair(pr) => Ok(pr.1.clone()),
+            Value::Pair(pr) => Ok(pr.1.clone()),
             other => stuck(format!("snd of a non-pair: {other:?}")),
         },
         ExprKind::List(items) => {
@@ -265,10 +198,10 @@ fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalErro
                 .iter()
                 .map(|i| eval_metered(env, i, meter))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(RtValue::List(Arc::new(vals)))
+            Ok(Value::List(Arc::new(vals)))
         }
         ExprKind::ListOp(op, l) => match eval_metered(env, l, meter)? {
-            RtValue::List(items) => match op {
+            Value::List(items) => match op {
                 ListOp::Head => match items.first() {
                     Some(h) => Ok(h.clone()),
                     None => stuck("head of the empty list"),
@@ -278,21 +211,21 @@ fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalErro
                         stuck("tail of the empty list")
                     } else {
                         meter.alloc(items.len() as u64)?;
-                        Ok(RtValue::List(Arc::new(items[1..].to_vec())))
+                        Ok(Value::List(Arc::new(items[1..].to_vec())))
                     }
                 }
-                ListOp::IsEmpty => Ok(RtValue::Int(items.is_empty() as i64)),
-                ListOp::Length => Ok(RtValue::Int(items.len() as i64)),
+                ListOp::IsEmpty => Ok(Value::Int(items.is_empty() as i64)),
+                ListOp::Length => Ok(Value::Int(items.len() as i64)),
             },
             other => stuck(format!("{} of a non-list: {other:?}", op.keyword())),
         },
         ExprKind::Ith(index, l) => {
-            let i = match eval_metered(env, index, meter)? {
-                RtValue::Int(n) => n,
-                other => return stuck(format!("ith index is not an int: {other:?}")),
+            let iv = eval_metered(env, index, meter)?;
+            let Some(i) = int(&iv) else {
+                return stuck(format!("ith index is not an int: {iv:?}"));
             };
             match eval_metered(env, l, meter)? {
-                RtValue::List(items) => {
+                Value::List(items) => {
                     if i < 0 || i as usize >= items.len() {
                         stuck(format!(
                             "ith index {i} out of bounds for a {}-element list",
@@ -311,10 +244,10 @@ fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalErro
             for (name, value) in fields {
                 out.insert(name.clone(), eval_metered(env, value, meter)?);
             }
-            Ok(RtValue::Record(Arc::new(out)))
+            Ok(Value::Record(Arc::new(out)))
         }
         ExprKind::Field(rec, name) => match eval_metered(env, rec, meter)? {
-            RtValue::Record(fields) => match fields.get(name) {
+            Value::Record(fields) => match fields.get(name) {
                 Some(v) => Ok(v.clone()),
                 None => stuck(format!("record has no field `{name}`")),
             },
@@ -329,10 +262,7 @@ fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalErro
                 .iter()
                 .map(|a| eval_metered(env, a, meter))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(RtValue::Tagged {
-                tag: Arc::from(name.as_str()),
-                args: Arc::new(vals),
-            })
+            Ok(Value::Tagged(Arc::from(name.as_str()), Arc::new(vals)))
         }
         ExprKind::Case {
             scrutinee,
@@ -341,20 +271,20 @@ fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalErro
             let value = eval_metered(env, scrutinee, meter)?;
             for b in branches {
                 match (&b.pattern, &value) {
-                    (Pattern::Ctor { name, binders }, RtValue::Tagged { tag, args })
+                    (Pattern::Ctor { name, binders }, Value::Tagged(tag, args))
                         if name.as_str() == &**tag =>
                     {
                         let mut env2 = env.clone();
                         for (binder, arg) in binders.iter().zip(args.iter()) {
                             if binder != "_" {
-                                env2 = env2.bind(binder.clone(), arg.clone());
+                                env2 = env2.bind(binder.as_str(), arg.clone());
                             }
                         }
                         return eval_metered(&env2, &b.body, meter);
                     }
                     (Pattern::Ctor { .. }, _) => continue,
                     (Pattern::Var(x), _) => {
-                        return eval_metered(&env.bind(x.clone(), value.clone()), &b.body, meter)
+                        return eval_metered(&env.bind(x.as_str(), value.clone()), &b.body, meter)
                     }
                     (Pattern::Wildcard, _) => return eval_metered(env, &b.body, meter),
                 }
@@ -369,30 +299,31 @@ fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalErro
     }
 }
 
-/// Applies a closure to an argument.
-///
-/// # Errors
-///
-/// [`EvalError::Stuck`] if `f` is not a closure.
-pub fn apply(f: RtValue, arg: RtValue) -> Result<RtValue, EvalError> {
-    apply_metered(f, arg, &mut Meter::unlimited())
-}
-
-/// [`apply`] under a [`Meter`] (see [`eval_metered`]).
+/// Applies a closure to an argument under a [`Meter`] (see
+/// [`eval_metered`]).
 ///
 /// # Errors
 ///
 /// [`EvalError::Stuck`] if `f` is not a closure, [`EvalError::Trap`] on
 /// budget exhaustion.
-pub fn apply_metered(f: RtValue, arg: RtValue, meter: &mut Meter) -> Result<RtValue, EvalError> {
-    match f {
-        RtValue::Closure { param, body, env } => eval_metered(&env.bind(param, arg), &body, meter),
-        other => stuck(format!("application of a non-function: {other:?}")),
+pub fn apply_metered(f: Value, arg: Value, meter: &mut Meter) -> Result<Value, EvalError> {
+    match f.downcast_ext::<Closure>() {
+        Some(c) => eval_metered(&c.env.bind(c.param.clone(), arg), &c.body, meter),
+        None => stuck(format!("application of a non-function: {f:?}")),
     }
 }
 
-fn delta(op: BinOp, a: &RtValue, b: &RtValue, meter: &mut Meter) -> Result<RtValue, EvalError> {
-    use RtValue::{Float, Int, Str};
+/// FElm's reading of a number: a runtime `Bool` is the `Int` 0/1.
+fn int(v: &Value) -> Option<i64> {
+    match v {
+        Value::Int(n) => Some(*n),
+        Value::Bool(b) => Some(*b as i64),
+        _ => None,
+    }
+}
+
+fn delta(op: BinOp, a: &Value, b: &Value, meter: &mut Meter) -> Result<Value, EvalError> {
+    use Value::{Float, Int, Str};
     let r = match (op, a, b) {
         (BinOp::Append, Str(x), Str(y)) => {
             // Charge before materializing: an append chain must trap on the
@@ -400,31 +331,12 @@ fn delta(op: BinOp, a: &RtValue, b: &RtValue, meter: &mut Meter) -> Result<RtVal
             meter.alloc(x.len() as u64 + y.len() as u64)?;
             Str(Arc::from(format!("{x}{y}").as_str()))
         }
-        (BinOp::Cons, head, RtValue::List(items)) => {
+        (BinOp::Cons, head, Value::List(items)) => {
             meter.alloc(1 + items.len() as u64)?;
             let mut out = Vec::with_capacity(items.len() + 1);
             out.push(head.clone());
             out.extend(items.iter().cloned());
-            RtValue::List(Arc::new(out))
-        }
-        (_, Int(x), Int(y)) => {
-            let (x, y) = (*x, *y);
-            match op {
-                BinOp::Add => Int(x.wrapping_add(y)),
-                BinOp::Sub => Int(x.wrapping_sub(y)),
-                BinOp::Mul => Int(x.wrapping_mul(y)),
-                BinOp::Div => Int(if y == 0 { 0 } else { x.wrapping_div(y) }),
-                BinOp::Mod => Int(if y == 0 { 0 } else { x.wrapping_rem(y) }),
-                BinOp::Eq => Int((x == y) as i64),
-                BinOp::Ne => Int((x != y) as i64),
-                BinOp::Lt => Int((x < y) as i64),
-                BinOp::Le => Int((x <= y) as i64),
-                BinOp::Gt => Int((x > y) as i64),
-                BinOp::Ge => Int((x >= y) as i64),
-                BinOp::And => Int(((x != 0) && (y != 0)) as i64),
-                BinOp::Or => Int(((x != 0) || (y != 0)) as i64),
-                BinOp::Append | BinOp::Cons => return stuck("++/:: on integers"),
-            }
+            Value::List(Arc::new(out))
         }
         (_, Float(x), Float(y)) => {
             let (x, y) = (*x, *y);
@@ -444,78 +356,27 @@ fn delta(op: BinOp, a: &RtValue, b: &RtValue, meter: &mut Meter) -> Result<RtVal
         }
         (BinOp::Eq, Str(x), Str(y)) => Int((x == y) as i64),
         (BinOp::Ne, Str(x), Str(y)) => Int((x != y) as i64),
-        _ => return stuck(format!("operator {op} applied to {a:?} and {b:?}")),
+        _ => match (int(a), int(b)) {
+            (Some(x), Some(y)) => match op {
+                BinOp::Add => Int(x.wrapping_add(y)),
+                BinOp::Sub => Int(x.wrapping_sub(y)),
+                BinOp::Mul => Int(x.wrapping_mul(y)),
+                BinOp::Div => Int(if y == 0 { 0 } else { x.wrapping_div(y) }),
+                BinOp::Mod => Int(if y == 0 { 0 } else { x.wrapping_rem(y) }),
+                BinOp::Eq => Int((x == y) as i64),
+                BinOp::Ne => Int((x != y) as i64),
+                BinOp::Lt => Int((x < y) as i64),
+                BinOp::Le => Int((x <= y) as i64),
+                BinOp::Gt => Int((x > y) as i64),
+                BinOp::Ge => Int((x >= y) as i64),
+                BinOp::And => Int(((x != 0) && (y != 0)) as i64),
+                BinOp::Or => Int(((x != 0) || (y != 0)) as i64),
+                BinOp::Append | BinOp::Cons => return stuck("++/:: on integers"),
+            },
+            _ => return stuck(format!("operator {op} applied to {a:?} and {b:?}")),
+        },
     };
     Ok(r)
-}
-
-/// Converts a big-step value to a runtime [`elm_runtime::Value`] (data
-/// only — closures return `None`).
-pub fn to_runtime_value(v: &RtValue) -> Option<elm_runtime::Value> {
-    Some(match v {
-        RtValue::Unit => elm_runtime::Value::Unit,
-        RtValue::Int(n) => elm_runtime::Value::Int(*n),
-        RtValue::Float(x) => elm_runtime::Value::Float(*x),
-        RtValue::Str(s) => elm_runtime::Value::Str(s.clone()),
-        RtValue::Pair(p) => {
-            elm_runtime::Value::pair(to_runtime_value(&p.0)?, to_runtime_value(&p.1)?)
-        }
-        RtValue::List(items) => elm_runtime::Value::list(
-            items
-                .iter()
-                .map(to_runtime_value)
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        RtValue::Record(fields) => elm_runtime::Value::record(
-            fields
-                .iter()
-                .map(|(k, v)| Some((k.clone(), to_runtime_value(v)?)))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        RtValue::Tagged { tag, args } => elm_runtime::Value::tagged(
-            tag.as_ref(),
-            args.iter()
-                .map(to_runtime_value)
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        RtValue::Closure { .. } => return None,
-    })
-}
-
-/// Converts a runtime [`elm_runtime::Value`] into a big-step value.
-pub fn from_runtime_value(v: &elm_runtime::Value) -> Option<RtValue> {
-    Some(match v {
-        elm_runtime::Value::Unit => RtValue::Unit,
-        elm_runtime::Value::Int(n) => RtValue::Int(*n),
-        elm_runtime::Value::Float(x) => RtValue::Float(*x),
-        elm_runtime::Value::Bool(b) => RtValue::Int(*b as i64),
-        elm_runtime::Value::Str(s) => RtValue::Str(s.clone()),
-        elm_runtime::Value::Pair(p) => RtValue::Pair(Arc::new((
-            from_runtime_value(&p.0)?,
-            from_runtime_value(&p.1)?,
-        ))),
-        elm_runtime::Value::List(items) => RtValue::List(Arc::new(
-            items
-                .iter()
-                .map(from_runtime_value)
-                .collect::<Option<Vec<_>>>()?,
-        )),
-        elm_runtime::Value::Record(fields) => RtValue::Record(Arc::new(
-            fields
-                .iter()
-                .map(|(k, v)| Some((k.clone(), from_runtime_value(v)?)))
-                .collect::<Option<std::collections::BTreeMap<_, _>>>()?,
-        )),
-        elm_runtime::Value::Tagged(tag, args) => RtValue::Tagged {
-            tag: tag.clone(),
-            args: Arc::new(
-                args.iter()
-                    .map(from_runtime_value)
-                    .collect::<Option<Vec<_>>>()?,
-            ),
-        },
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -525,20 +386,17 @@ mod tests {
     use crate::parser::parse_expr;
     use crate::translate::expr_to_value;
 
-    fn big(src: &str) -> RtValue {
+    fn big(src: &str) -> Value {
         eval(&Env::empty(), &parse_expr(src).unwrap()).unwrap()
     }
 
     #[test]
     fn evaluates_functional_programs() {
-        assert_eq!(big("1 + 2 * 3"), RtValue::Int(7));
-        assert_eq!(big("(\\f x -> f (f x)) (\\n -> n * 2) 5"), RtValue::Int(20));
-        assert_eq!(big("let a = 3 in let b = a * a in b + a"), RtValue::Int(12));
-        assert_eq!(
-            big("if 1 < 2 then \"y\" else \"n\""),
-            RtValue::Str("y".into())
-        );
-        assert_eq!(big("fst (snd ((1, 2), (3, 4)))"), RtValue::Int(3));
+        assert_eq!(big("1 + 2 * 3"), Value::Int(7));
+        assert_eq!(big("(\\f x -> f (f x)) (\\n -> n * 2) 5"), Value::Int(20));
+        assert_eq!(big("let a = 3 in let b = a * a in b + a"), Value::Int(12));
+        assert_eq!(big("if 1 < 2 then \"y\" else \"n\""), Value::str("y"));
+        assert_eq!(big("fst (snd ((1, 2), (3, 4)))"), Value::Int(3));
     }
 
     #[test]
@@ -546,11 +404,11 @@ mod tests {
         // The classic shadowing test: adder captures its own x.
         assert_eq!(
             big("let makeAdd = \\x -> \\y -> x + y in let x = 100 in makeAdd 1 x"),
-            RtValue::Int(101)
+            Value::Int(101)
         );
         assert_eq!(
             big("let x = 1 in let f = \\y -> x + y in let x = 50 in f 0"),
-            RtValue::Int(1),
+            Value::Int(1),
             "static scoping, not dynamic"
         );
     }
@@ -569,8 +427,7 @@ mod tests {
             let e = parse_expr(src).unwrap();
             let small = normalize(&e, DEFAULT_FUEL).unwrap();
             let small_val = expr_to_value(&small).expect("data result");
-            let big_val = to_runtime_value(&eval(&Env::empty(), &e).unwrap()).unwrap();
-            assert_eq!(small_val, big_val, "{src}");
+            assert_eq!(small_val, eval(&Env::empty(), &e).unwrap(), "{src}");
         }
     }
 
@@ -585,32 +442,13 @@ mod tests {
     }
 
     #[test]
-    fn value_conversions_round_trip() {
-        use elm_runtime::Value;
-        for v in [
-            Value::Unit,
-            Value::Int(5),
-            Value::Float(1.5),
-            Value::str("s"),
-            Value::pair(Value::Int(1), Value::str("x")),
-        ] {
-            let rt = from_runtime_value(&v).unwrap();
-            assert_eq!(to_runtime_value(&rt), Some(v));
-        }
-        let lst = Value::list([Value::Int(1), Value::Int(2)]);
-        let rt = from_runtime_value(&lst).unwrap();
-        assert_eq!(to_runtime_value(&rt), Some(lst));
-        assert!(from_runtime_value(&Value::ext(0u8)).is_none());
-    }
-
-    #[test]
     fn env_lookup_is_innermost_first() {
         let env = Env::empty()
-            .bind("x", RtValue::Int(1))
-            .bind("y", RtValue::Int(2))
-            .bind("x", RtValue::Int(3));
-        assert_eq!(env.lookup("x"), Some(&RtValue::Int(3)));
-        assert_eq!(env.lookup("y"), Some(&RtValue::Int(2)));
+            .bind("x", Value::Int(1))
+            .bind("y", Value::Int(2))
+            .bind("x", Value::Int(3));
+        assert_eq!(env.lookup("x"), Some(&Value::Int(3)));
+        assert_eq!(env.lookup("y"), Some(&Value::Int(2)));
         assert_eq!(env.lookup("z"), None);
     }
 }

@@ -9,18 +9,23 @@
 //! threads/channels/dispatcher of Figs. 9–11.
 //!
 //! Functions embedded in `lift`/`foldp` nodes are FElm values; at event
-//! time the node applies them with the stage-one evaluator (β-reduction by
-//! [`crate::eval::normalize`]) — the moral equivalent of the paper's
-//! `⟦f⟧V` application inside each node's CML loop.
+//! time the node applies them to the runtime values on its inputs with the
+//! big-step evaluator ([`crate::eval_big`]) — the moral equivalent of the
+//! paper's `⟦f⟧V` application inside each node's CML loop. The Fig. 6
+//! small-step machine stays available as [`apply_function_small_step`],
+//! the specification the fast path is tested against.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-use elm_runtime::{GraphBuilder, NodeId, SignalGraph, Value};
+use elm_runtime::{governor, GraphBuilder, NodeId, SignalGraph, Value};
 
 use crate::ast::{Expr, ExprKind};
+use crate::budget::{Budget, Meter, Trap};
 use crate::env::InputEnv;
-use crate::eval::{normalize, DEFAULT_FUEL};
+use crate::eval::{normalize, EvalError, DEFAULT_FUEL};
+use crate::eval_big::{apply_metered, eval_metered, Env};
 use crate::intermediate::{FinalTerm, SignalTerm};
 
 /// Errors raised while building the graph.
@@ -120,13 +125,16 @@ pub fn expr_to_value(e: &Expr) -> Option<Value> {
 /// must be fast; agreement with the Fig. 6 small-step machine is
 /// property-tested, and [`apply_function_small_step`] keeps the
 /// specification path available (the `interpreter` bench compares them).
+/// The arguments go to the evaluator as they are: it computes on runtime
+/// values, reading a `Bool` as the `Int` 0/1 (FElm has no booleans).
 ///
 /// When the hosting scheduler has activated a per-event resource
 /// governor ([`elm_runtime::governor`]), the application runs metered
 /// against the event's remaining fuel/allocation pools and deadline; a
 /// budget trap is recorded on the governor (the scheduler rolls the
 /// event back) and a `Unit` sentinel is returned instead of panicking.
-/// Ungoverned applications evaluate unmetered, exactly as before.
+/// Ungoverned applications run under an unlimited meter, which never
+/// traps.
 ///
 /// # Panics
 ///
@@ -134,46 +142,30 @@ pub fn expr_to_value(e: &Expr) -> Option<Value> {
 /// impossible for nodes built from well-typed programs; a panic here
 /// indicates translation of an unchecked term.
 pub fn apply_function(func: &Expr, args: &[Value]) -> Value {
-    use crate::budget::{Budget, Meter, Trap};
-    use crate::eval::EvalError;
-    use elm_runtime::governor;
-
-    let Some(view) = governor::active() else {
-        // Ungoverned fast path: no accounting at all.
-        let mut cur = crate::eval_big::eval(&crate::eval_big::Env::empty(), func)
-            .unwrap_or_else(|err| panic!("embedded FElm function got stuck: {err}"));
-        for a in args {
-            let arg = crate::eval_big::from_runtime_value(a)
-                .unwrap_or_else(|| panic!("runtime value {a:?} is outside FElm's data universe"));
-            cur = crate::eval_big::apply(cur, arg)
-                .unwrap_or_else(|err| panic!("embedded FElm function got stuck: {err}"));
-        }
-        return crate::eval_big::to_runtime_value(&cur)
-            .unwrap_or_else(|| panic!("embedded FElm function returned a non-data value"));
-    };
-
-    // Governed path: evaluate against the event's *remaining* pools so a
+    // Governed: evaluate against the event's *remaining* pools so a
     // budget bounds the total work of the event, not of each node.
-    let mut meter = Meter::new(Budget {
-        fuel: view.fuel_left,
-        max_alloc_cells: view.alloc_left,
-        max_depth: view.max_depth,
-    })
-    .with_deadline(view.deadline);
+    let view = governor::active();
+    let mut meter = view.map_or_else(Meter::unlimited, |view| {
+        Meter::new(Budget {
+            fuel: view.fuel_left,
+            max_alloc_cells: view.alloc_left,
+            max_depth: view.max_depth,
+        })
+        .with_deadline(view.deadline)
+    });
     let result = (|| {
-        let mut cur =
-            crate::eval_big::eval_metered(&crate::eval_big::Env::empty(), func, &mut meter)?;
+        let mut cur = eval_metered(&Env::empty(), func, &mut meter)?;
         for a in args {
-            let arg = crate::eval_big::from_runtime_value(a)
-                .unwrap_or_else(|| panic!("runtime value {a:?} is outside FElm's data universe"));
-            cur = crate::eval_big::apply_metered(cur, arg, &mut meter)?;
+            cur = apply_metered(cur, a.clone(), &mut meter)?;
         }
         Ok(cur)
     })();
-    governor::consume(meter.fuel_used(), meter.alloc_cells());
+    if view.is_some() {
+        governor::consume(meter.fuel_used(), meter.alloc_cells());
+    }
     match result {
-        Ok(cur) => crate::eval_big::to_runtime_value(&cur)
-            .unwrap_or_else(|| panic!("embedded FElm function returned a non-data value")),
+        Ok(cur) => node_output(cur),
+        // Only a governed meter traps.
         Err(EvalError::Trap(t)) => {
             governor::record_trap(match t {
                 Trap::OutOfFuel => governor::TrapKind::OutOfFuel,
@@ -186,6 +178,48 @@ pub fn apply_function(func: &Expr, args: &[Value]) -> Value {
             Value::Unit
         }
         Err(err) => panic!("embedded FElm function got stuck: {err}"),
+    }
+}
+
+/// A node's output for the value its function returned: a runtime `Bool`
+/// that flowed through from an argument is read as the `Int` 0/1, as
+/// [`value_to_expr`] reads it on the specification path. Copies only a
+/// result that holds a `Bool`.
+///
+/// # Panics
+///
+/// Panics if the result holds a closure (or any other host value).
+fn node_output(v: Value) -> Value {
+    fn holds_bool(v: &Value) -> bool {
+        match v {
+            Value::Bool(_) => true,
+            Value::Pair(p) => holds_bool(&p.0) || holds_bool(&p.1),
+            Value::List(items) | Value::Tagged(_, items) => items.iter().any(holds_bool),
+            Value::Record(fields) => fields.values().any(holds_bool),
+            Value::Ext(_) => panic!("embedded FElm function returned a non-data value"),
+            Value::Unit | Value::Int(_) | Value::Float(_) | Value::Str(_) => false,
+        }
+    }
+    fn bools_as_ints(v: &Value) -> Value {
+        match v {
+            Value::Bool(b) => Value::Int(*b as i64),
+            Value::Pair(p) => Value::pair(bools_as_ints(&p.0), bools_as_ints(&p.1)),
+            Value::List(items) => Value::list(items.iter().map(bools_as_ints)),
+            Value::Record(fields) => {
+                Value::record(fields.iter().map(|(k, v)| (k.clone(), bools_as_ints(v))))
+            }
+            Value::Tagged(tag, args) => Value::Tagged(
+                tag.clone(),
+                Arc::new(args.iter().map(bools_as_ints).collect()),
+            ),
+            Value::Ext(_) => panic!("embedded FElm function returned a non-data value"),
+            Value::Unit | Value::Int(_) | Value::Float(_) | Value::Str(_) => v.clone(),
+        }
+    }
+    if holds_bool(&v) {
+        bools_as_ints(&v)
+    } else {
+        v
     }
 }
 
@@ -429,6 +463,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(changed_values(&outs), vec![Value::Int(7)]);
+    }
+
+    #[test]
+    fn bools_and_closures_cross_the_boundary_alike() {
+        // FElm has no booleans: a runtime `Bool` reads as the `Int` 0/1,
+        // top-level and nested, on the fast path as on the spec path.
+        let f = parse_expr("\\b p -> (if b then fst p + 1 else 7, (b, snd p))").unwrap();
+        let args = [
+            Value::Bool(true),
+            Value::pair(Value::Bool(false), Value::Int(3)),
+        ];
+        let out = apply_function(&f, &args);
+        assert_eq!(out, apply_function_small_step(&f, &args));
+        assert_eq!(
+            out,
+            Value::pair(Value::Int(1), Value::pair(Value::Int(1), Value::Int(3)))
+        );
+
+        // A function-valued result, bare or nested, panics on both paths.
+        let paths: [fn(&Expr, &[Value]) -> Value; 2] = [apply_function, apply_function_small_step];
+        for src in ["\\x y -> x", "\\x -> (x, \\y -> y)"] {
+            let g = parse_expr(src).unwrap();
+            for apply in paths {
+                let panic = std::panic::catch_unwind(|| apply(&g, &[Value::Int(1)])).unwrap_err();
+                assert_eq!(
+                    panic.downcast_ref::<&str>(),
+                    Some(&"embedded FElm function returned a non-data value"),
+                    "{src}"
+                );
+            }
+        }
     }
 
     #[test]

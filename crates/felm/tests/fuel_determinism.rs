@@ -16,7 +16,7 @@
 use felm::budget::{Budget, Meter, Trap};
 use felm::env::InputEnv;
 use felm::eval::{normalize, normalize_metered, EvalError, DEFAULT_FUEL};
-use felm::eval_big::{eval, eval_metered, Env, RtValue};
+use felm::eval_big::{eval, eval_metered, Env};
 use felm::parser::parse_expr;
 use felm::pipeline::compile_source;
 use felm::translate::expr_to_value;
@@ -59,7 +59,7 @@ fn int_expr() -> BoxedStrategy<String> {
     BoxedStrategy::from_fn(|rng| gen(rng, 4))
 }
 
-fn big(src: &str, meter: &mut Meter) -> Result<RtValue, EvalError> {
+fn big(src: &str, meter: &mut Meter) -> Result<Value, EvalError> {
     let e = parse_expr(src).expect("generated expression parses");
     eval_metered(&Env::empty(), &e, meter)
 }
@@ -271,4 +271,74 @@ fn trapped_events_replay_deterministically() {
     assert_eq!(v1, v2);
     assert_eq!(t1, t2);
     assert_eq!(t1.len(), 2);
+}
+
+/// The `interpreter` bench's workload: a curried two-argument function
+/// with `depth` nested lets and calls.
+fn bench_workload(depth: usize) -> String {
+    let mut body = String::from("x + y");
+    for k in 0..depth {
+        body = format!("let t{k} = ({body}) * 2 in t{k} - {k}");
+    }
+    format!("\\x y -> {body}")
+}
+
+/// Fuel and allocation charged for one node application are pinned, both
+/// on a bare meter and as drawn from a governed event's pools, so any
+/// drift in charging — which would move where budgets trap — fails here.
+#[test]
+fn node_application_charges_are_pinned() {
+    use elm_runtime::governor;
+    use felm::eval_big::apply_metered;
+    use felm::translate::apply_function;
+
+    let cases = [
+        (
+            bench_workload(8),
+            vec![Value::Int(21), Value::Int(2)],
+            (53, 10),
+            Value::Int(5641),
+        ),
+        (
+            "\\s xs -> (s ++ \"!\", s :: xs)".to_string(),
+            vec![
+                Value::str("hey"),
+                Value::list([Value::str("a"), Value::str("b")]),
+            ],
+            (9, 12),
+            Value::pair(
+                Value::str("hey!"),
+                Value::list([Value::str("hey"), Value::str("a"), Value::str("b")]),
+            ),
+        ),
+    ];
+    for (src, args, (fuel, alloc), out) in cases {
+        let f = parse_expr(&src).unwrap();
+        let mut meter = Meter::unlimited();
+        let mut cur = eval_metered(&Env::empty(), &f, &mut meter).unwrap();
+        for a in &args {
+            cur = apply_metered(cur, a.clone(), &mut meter).unwrap();
+        }
+        assert_eq!(cur, out, "{src}");
+        assert_eq!(
+            (meter.fuel_used(), meter.alloc_cells()),
+            (fuel, alloc),
+            "{src}"
+        );
+
+        let limits = EventLimits {
+            fuel: 1_000,
+            max_alloc_cells: 1_000,
+            max_depth: 64,
+        };
+        let scope = governor::enter(limits, None);
+        assert_eq!(apply_function(&f, &args), out, "{src}");
+        let left = governor::active().unwrap();
+        drop(scope);
+        assert_eq!(
+            (1_000 - left.fuel_left, 1_000 - left.alloc_left),
+            (fuel, alloc),
+            "{src}"
+        );
+    }
 }

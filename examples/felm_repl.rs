@@ -10,6 +10,7 @@
 
 use std::io::BufRead;
 
+use elm_runtime::Value;
 use felm::env::InputEnv;
 use felm::eval::{normalize, DEFAULT_FUEL};
 use felm::eval_big::{eval, Env};
@@ -54,9 +55,12 @@ fn main() {
         match FinalTerm::from_expr(&normal) {
             Ok(FinalTerm::Value(v)) => {
                 // Cross-check the two interpreters on the fly.
-                let big = eval(&Env::empty(), &expr)
-                    .map(|r| format!("{r:?}"))
-                    .unwrap_or_else(|e| format!("<{e}>"));
+                let big = match eval(&Env::empty(), &expr) {
+                    // Big-step closures are opaque runtime values.
+                    Ok(Value::Ext(_)) => "<closure>".to_string(),
+                    Ok(v) => format!("{v:?}"),
+                    Err(e) => format!("<{e}>"),
+                };
                 println!("  : {ty}");
                 println!("  = {}   (big-step: {big})", pretty(&v));
             }

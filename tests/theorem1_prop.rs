@@ -481,11 +481,12 @@ fn pretty_printer_round_trips_generated_terms() {
 }
 
 /// The environment-based big-step interpreter agrees with the Fig. 6
-/// small-step machine on all generated data-typed terms.
+/// small-step machine on all generated data-typed terms, both as bare
+/// evaluators and through the node entry points that signal graphs call.
 #[test]
 fn big_step_agrees_with_small_step() {
-    use felm::eval_big::{eval, to_runtime_value, Env};
-    use felm::translate::expr_to_value;
+    use felm::eval_big::{eval, Env};
+    use felm::translate::{apply_function, apply_function_small_step, expr_to_value};
 
     let mut compared = 0;
     for seed in 0..600u64 {
@@ -503,11 +504,17 @@ fn big_step_agrees_with_small_step() {
         }
         let normal = normalize(&e, DEFAULT_FUEL).unwrap();
         let small = expr_to_value(&normal).expect("data-typed result");
-        let big = to_runtime_value(&eval(&Env::empty(), &e).unwrap()).expect("data-typed result");
+        let big = eval(&Env::empty(), &e).unwrap();
         assert_eq!(
             small,
             big,
             "seed {seed}: interpreters disagree on {}",
+            pretty(&e)
+        );
+        assert_eq!(
+            apply_function_small_step(&e, &[]),
+            apply_function(&e, &[]),
+            "seed {seed}: node entry points disagree on {}",
             pretty(&e)
         );
         compared += 1;
