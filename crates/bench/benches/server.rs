@@ -11,6 +11,11 @@
 //! variant, which prices write-ahead journaling, periodic snapshots, and
 //! supervised restart under injected crashes against the fault-free
 //! baseline.
+//!
+//! `metrics-render/64` prices one `metrics` scrape: 64 observed
+//! `dashboard` sessions, fed a fixed simulator trace and left idle, are
+//! rendered as Prometheus text (`Server::metrics_text`) and wrapped in the
+//! NDJSON reply line (`protocol::metrics_line`) on every iteration.
 
 use std::sync::Arc;
 use std::thread;
@@ -19,10 +24,12 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use elm_environment::{FaultPlan, Simulator};
 use elm_runtime::PlainValue;
-use elm_server::{ProgramSpec, RestartPolicy, Server, ServerConfig, SessionConfig};
+use elm_server::{protocol, ProgramSpec, RestartPolicy, Server, ServerConfig, SessionConfig};
 
 const EVENTS_PER_SESSION: usize = 2_000;
 const BATCH: usize = 64;
+/// Events fed to each observed session before the scrape is timed.
+const SCRAPE_EVENTS_PER_SESSION: usize = 500;
 
 fn drive(server: &Arc<Server>, program: &str, traces: &[elm_runtime::Trace]) {
     let mut sessions = Vec::with_capacity(traces.len());
@@ -111,6 +118,41 @@ fn bench(c: &mut Criterion) {
         if let Ok(s) = Arc::try_unwrap(server) {
             s.shutdown();
         }
+    }
+
+    // Scrape cost: per-node timing histograms for 64 observed sessions
+    // dominate the exposition (~35k series on the wire benchmark's
+    // `interactive` workload).
+    {
+        let sessions = 64usize;
+        let server = Server::start(ServerConfig::default());
+        let traces = Simulator::fan_out(42, sessions, SCRAPE_EVENTS_PER_SESSION);
+        for trace in &traces {
+            let session = server
+                .open(ProgramSpec::Builtin("dashboard"), None, None, true)
+                .unwrap()
+                .session;
+            let events: Vec<(String, PlainValue)> = trace
+                .events
+                .iter()
+                .map(|e| (e.input.clone(), e.value.clone()))
+                .collect();
+            for chunk in events.chunks(BATCH) {
+                server.batch(session, chunk).unwrap();
+            }
+            while server.query(session).unwrap().queue_len > 0 {
+                thread::yield_now();
+            }
+        }
+        group.throughput(Throughput::Bytes(
+            protocol::metrics_line(&server.metrics_text()).len() as u64,
+        ));
+        group.bench_with_input(
+            BenchmarkId::new("metrics-render", sessions),
+            &sessions,
+            |b, _| b.iter(|| protocol::metrics_line(&server.metrics_text())),
+        );
+        server.shutdown();
     }
     group.finish();
 }

@@ -12,6 +12,7 @@
 //! accounting path feeds both the legacy `StatsSnapshot` view and the
 //! `/metrics` exposition surface.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Number of histogram buckets, including the final `+Inf` bucket.
@@ -222,25 +223,18 @@ impl HistogramSnapshot {
     }
 }
 
-/// One sample (label set + value) of a metric family. The `suffix` is the
-/// typed family-name suffix (`"_bucket"`, `"_sum"`, `"_count"`, or empty),
-/// fixed at registration time so rendering never has to classify a sample
-/// by inspecting its label text — label *values* are user-controlled (e.g.
+/// One metric family: name, type, help, and its sample lines, rendered at
+/// registration time (`name+suffix{labels} value\n` each, in order). The
+/// typed name suffix (`_bucket`, `_sum`, `_count`, or none) is fixed by the
+/// registering method, so rendering never classifies a sample by
+/// inspecting its label text — label *values* are user-controlled (e.g.
 /// ad-hoc session sources) and may legally contain `le="` or `quantile="`.
-#[derive(Debug)]
-struct Sample {
-    labels: String, // pre-rendered `{k="v",...}` or empty
-    suffix: &'static str,
-    value: String,
-}
-
-/// One metric family: name, type, help, and its samples.
 #[derive(Debug)]
 struct Family {
     name: String,
     kind: &'static str,
     help: String,
-    samples: Vec<Sample>,
+    body: String,
 }
 
 /// A collection of metric families that renders as Prometheus text.
@@ -248,37 +242,162 @@ struct Family {
 /// Callers register point-in-time values (there is no live registration —
 /// instruments stay owned by the subsystems that update them and are sampled
 /// at exposition time). Families keep insertion order; repeated registrations
-/// of the same name append samples to the existing family.
+/// of the same name append samples to the existing family. Each sample line
+/// is written once, straight into its family's body; [`Registry::render`]
+/// only concatenates headers and bodies.
 #[derive(Debug, Default)]
 pub struct Registry {
     families: Vec<Family>,
+    /// Histogram `le` label values, formatted once per distinct scale
+    /// (keyed by the scale's bit pattern).
+    bounds: Vec<(u64, Vec<String>)>,
+    /// Scratch buffer holding the current sample's rendered label pairs.
+    labels: String,
 }
 
-/// Escapes a label value per the Prometheus text format.
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-/// Renders a label set as `{k="v",...}`, or an empty string for no labels.
-fn render_labels(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
+/// Appends `v` escaped per the Prometheus text format: `\`, `"` and
+/// newline become `\\`, `\"` and `\n`. A value with none of them (the
+/// common case) is copied as one slice.
+fn push_escaped(out: &mut String, v: &str) {
+    let mut rest = v;
+    while let Some(i) = rest.bytes().position(|b| matches!(b, b'\\' | b'"' | b'\n')) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'\\' => "\\\\",
+            b'"' => "\\\"",
+            _ => "\\n",
+        });
+        rest = &rest[i + 1..];
     }
-    let inner: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    format!("{{{}}}", inner.join(","))
+    out.push_str(rest);
 }
 
-/// Renders a label set with one extra trailing label (used for `le` /
-/// `quantile`).
-fn render_labels_plus(labels: &[(&str, &str)], key: &str, value: &str) -> String {
-    let mut all: Vec<(&str, &str)> = labels.to_vec();
-    all.push((key, value));
-    render_labels(&all)
+/// Replaces `out` with the label pairs `k="v",...` (no braces).
+fn set_label_pairs(out: &mut String, labels: &[(&str, &str)]) {
+    out.clear();
+    for (i, (k, v)) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(k);
+        out.push_str("=\"");
+        push_escaped(out, v);
+        out.push('"');
+    }
+}
+
+/// A sample value, appended in the form `Display` gives it. Integers skip
+/// the formatting machinery: they are most of a scrape's values.
+trait SampleValue {
+    fn push_to(self, out: &mut String);
+}
+
+impl SampleValue for u64 {
+    fn push_to(self, out: &mut String) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut v = self;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    }
+}
+
+impl SampleValue for i64 {
+    fn push_to(self, out: &mut String) {
+        if self < 0 {
+            out.push('-');
+        }
+        self.unsigned_abs().push_to(out);
+    }
+}
+
+impl SampleValue for f64 {
+    fn push_to(self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{self}");
+    }
+}
+
+/// Appends one sample line `name+suffix{pairs,extra} value\n`. `pairs` are
+/// already-escaped label pairs; `extra` is a trailing `le`/`quantile` label
+/// whose value (a formatted number) needs no escaping. The braces are
+/// omitted when there are no labels at all.
+fn push_sample(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    pairs: &str,
+    extra: Option<(&str, &str)>,
+    value: impl SampleValue,
+) {
+    out.push_str(name);
+    out.push_str(suffix);
+    if !pairs.is_empty() || extra.is_some() {
+        out.push('{');
+        out.push_str(pairs);
+        if let Some((k, v)) = extra {
+            if !pairs.is_empty() {
+                out.push(',');
+            }
+            out.push_str(k);
+            out.push_str("=\"");
+            out.push_str(v);
+            out.push('"');
+        }
+        out.push('}');
+    }
+    out.push(' ');
+    value.push_to(out);
+    out.push('\n');
+}
+
+/// The family named `name`, created (with this kind and help) on first use.
+fn family<'a>(
+    families: &'a mut Vec<Family>,
+    name: &str,
+    kind: &'static str,
+    help: &str,
+) -> &'a mut Family {
+    let i = match families.iter().position(|f| f.name == name) {
+        Some(i) => i,
+        None => {
+            families.push(Family {
+                name: name.to_string(),
+                kind,
+                help: help.to_string(),
+                body: String::new(),
+            });
+            families.len() - 1
+        }
+    };
+    &mut families[i]
+}
+
+/// The `le` label values of every histogram bucket at `scale`, formatted
+/// on the first request for that scale.
+fn bucket_bounds(bounds: &mut Vec<(u64, Vec<String>)>, scale: f64) -> &[String] {
+    let key = scale.to_bits();
+    let i = match bounds.iter().position(|(k, _)| *k == key) {
+        Some(i) => i,
+        None => {
+            let les = (0..HISTOGRAM_BUCKETS)
+                .map(|i| match Histogram::bucket_le(i) {
+                    Some(bound) => format!("{}", bound as f64 * scale),
+                    None => "+Inf".to_string(),
+                })
+                .collect();
+            bounds.push((key, les));
+            bounds.len() - 1
+        }
+    };
+    &bounds[i].1
 }
 
 impl Registry {
@@ -287,48 +406,34 @@ impl Registry {
         Registry::default()
     }
 
-    fn family(&mut self, name: &str, kind: &'static str, help: &str) -> &mut Family {
-        if let Some(i) = self.families.iter().position(|f| f.name == name) {
-            return &mut self.families[i];
-        }
-        self.families.push(Family {
-            name: name.to_string(),
-            kind,
-            help: help.to_string(),
-            samples: Vec::new(),
-        });
-        self.families.last_mut().expect("just pushed")
+    /// Appends one unsuffixed sample line to family `name`.
+    fn single(
+        &mut self,
+        name: &str,
+        kind: &'static str,
+        help: &str,
+        labels: &[(&str, &str)],
+        value: impl SampleValue,
+    ) {
+        set_label_pairs(&mut self.labels, labels);
+        let body = &mut family(&mut self.families, name, kind, help).body;
+        push_sample(body, name, "", &self.labels, None, value);
     }
 
     /// Registers a counter sample.
     pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        let labels = render_labels(labels);
-        self.family(name, "counter", help).samples.push(Sample {
-            labels,
-            suffix: "",
-            value: value.to_string(),
-        });
+        self.single(name, "counter", help, labels, value);
     }
 
     /// Registers a gauge sample.
     pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: i64) {
-        let labels = render_labels(labels);
-        self.family(name, "gauge", help).samples.push(Sample {
-            labels,
-            suffix: "",
-            value: value.to_string(),
-        });
+        self.single(name, "gauge", help, labels, value);
     }
 
     /// Registers a gauge sample with a fractional value (a ratio, a burn
     /// rate, a quantile in seconds).
     pub fn gauge_f64(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        let labels = render_labels(labels);
-        self.family(name, "gauge", help).samples.push(Sample {
-            labels,
-            suffix: "",
-            value: format!("{value}"),
-        });
+        self.single(name, "gauge", help, labels, value);
     }
 
     /// Registers a histogram sample from a snapshot, scaling each bucket
@@ -343,30 +448,17 @@ impl Registry {
         snap: &HistogramSnapshot,
         scale: f64,
     ) {
+        set_label_pairs(&mut self.labels, labels);
+        let pairs = &self.labels;
+        let les = bucket_bounds(&mut self.bounds, scale);
+        let body = &mut family(&mut self.families, name, "histogram", help).body;
         let mut cumulative = 0u64;
-        let fam = self.family(name, "histogram", help);
-        for i in 0..HISTOGRAM_BUCKETS {
+        for (i, le) in les.iter().enumerate() {
             cumulative += snap.buckets.get(i).copied().unwrap_or(0);
-            let le = match Histogram::bucket_le(i) {
-                Some(bound) => format!("{}", bound as f64 * scale),
-                None => "+Inf".to_string(),
-            };
-            fam.samples.push(Sample {
-                labels: render_labels_plus(labels, "le", &le),
-                suffix: "_bucket",
-                value: cumulative.to_string(),
-            });
+            push_sample(body, name, "_bucket", pairs, Some(("le", le)), cumulative);
         }
-        fam.samples.push(Sample {
-            labels: render_labels(labels),
-            suffix: "_sum",
-            value: format!("{}", snap.sum as f64 * scale),
-        });
-        fam.samples.push(Sample {
-            labels: render_labels(labels),
-            suffix: "_count",
-            value: snap.count.to_string(),
-        });
+        push_sample(body, name, "_sum", pairs, None, snap.sum as f64 * scale);
+        push_sample(body, name, "_count", pairs, None, snap.count);
     }
 
     /// Registers a summary sample: pre-computed quantiles plus sum and count.
@@ -379,39 +471,53 @@ impl Registry {
         sum: f64,
         count: u64,
     ) {
-        let fam = self.family(name, "summary", help);
+        set_label_pairs(&mut self.labels, labels);
+        let pairs = &self.labels;
+        let body = &mut family(&mut self.families, name, "summary", help).body;
         for (q, v) in quantiles {
-            fam.samples.push(Sample {
-                labels: render_labels_plus(labels, "quantile", &format!("{q}")),
-                suffix: "",
-                value: format!("{v}"),
-            });
+            push_sample(
+                body,
+                name,
+                "",
+                pairs,
+                Some(("quantile", &q.to_string())),
+                *v,
+            );
         }
-        fam.samples.push(Sample {
-            labels: render_labels(labels),
-            suffix: "_sum",
-            value: format!("{sum}"),
-        });
-        fam.samples.push(Sample {
-            labels: render_labels(labels),
-            suffix: "_count",
-            value: count.to_string(),
-        });
+        push_sample(body, name, "_sum", pairs, None, sum);
+        push_sample(body, name, "_count", pairs, None, count);
     }
 
-    /// Renders all families in the Prometheus text exposition format. Each
-    /// sample carries its typed name suffix from registration, so no label
-    /// inspection happens here — hostile label values render correctly.
+    /// Renders all families in the Prometheus text exposition format: each
+    /// family's `# HELP` and `# TYPE` header followed by its body, into one
+    /// buffer sized up front.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let len = self
+            .families
+            .iter()
+            .map(|f| {
+                "# HELP  \n# TYPE  \n".len()
+                    + 2 * f.name.len()
+                    + f.help.len()
+                    + f.kind.len()
+                    + f.body.len()
+            })
+            .sum();
+        let mut out = String::with_capacity(len);
         for fam in &self.families {
-            out.push_str(&format!("# HELP {} {}\n", fam.name, fam.help));
-            out.push_str(&format!("# TYPE {} {}\n", fam.name, fam.kind));
-            for s in &fam.samples {
-                out.push_str(&format!(
-                    "{}{}{} {}\n",
-                    fam.name, s.suffix, s.labels, s.value
-                ));
+            for part in [
+                "# HELP ",
+                &fam.name,
+                " ",
+                &fam.help,
+                "\n# TYPE ",
+                &fam.name,
+                " ",
+                fam.kind,
+                "\n",
+                &fam.body,
+            ] {
+                out.push_str(part);
             }
         }
         out
@@ -523,6 +629,26 @@ mod tests {
             assert!(v >= last);
             last = v;
         }
+    }
+
+    #[test]
+    fn sample_values_render_as_display_does() {
+        let mut reg = Registry::new();
+        let mut want = String::from("# HELP c C.\n# TYPE c counter\n");
+        for v in [0, 7, 10, 99, 1_000_000, u64::MAX] {
+            reg.counter("c", "C.", &[], v);
+            want.push_str(&format!("c {v}\n"));
+        }
+        want.push_str("# HELP g G.\n# TYPE g gauge\n");
+        for v in [0, -1, 42, i64::MIN, i64::MAX] {
+            reg.gauge("g", "G.", &[("k", "v")], v);
+            want.push_str(&format!("g{{k=\"v\"}} {v}\n"));
+        }
+        for v in [0.0, -0.5, 1e-9, 0.05, 1e21, f64::INFINITY, f64::NAN] {
+            reg.gauge_f64("g", "G.", &[], v);
+            want.push_str(&format!("g {v}\n"));
+        }
+        assert_eq!(reg.render(), want);
     }
 
     #[test]

@@ -414,10 +414,13 @@ fn http_response(server: &Arc<Server>, request_rest: &str) -> String {
             format!("no such path {path}\n"),
         )
     };
-    format!(
-        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+    let mut response = format!(
+        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len() + 1,
-    )
+    );
+    response.reserve_exact(body.len());
+    response.push_str(&body);
+    response
 }
 
 /// Pushes one streamed line, declaring the connection a slow consumer

@@ -15,6 +15,7 @@ use elm_runtime::{
     TrapKind, WireSnapshot,
 };
 use serde_json::Value as Json;
+use std::fmt::Write as _;
 
 /// One client → server command, decoded from a JSON line.
 #[derive(Clone, Debug, PartialEq)]
@@ -1002,12 +1003,56 @@ pub fn session_stats_line(stats: &SessionStats) -> String {
 
 /// Reply for `metrics`: the Prometheus exposition text, JSON-escaped.
 pub fn metrics_line(text: &str) -> String {
-    ok_with(vec![("metrics", Json::Str(text.to_string()))])
+    ok_with_text("metrics", text)
 }
 
 /// Reply for `blackbox`: the flight recorder's NDJSON dump, JSON-escaped.
 pub fn blackbox_line(ndjson: &str) -> String {
-    ok_with(vec![("blackbox", Json::Str(ndjson.to_string()))])
+    ok_with_text("blackbox", ndjson)
+}
+
+/// `{"ok":true,"<key>":"<text>"}` for a multi-megabyte `text`, escaped
+/// straight into one presized buffer — the same bytes `ok_with` would
+/// produce, without copying `text` into a `Json` tree first. `key` must
+/// need no escaping.
+fn ok_with_text(key: &str, text: &str) -> String {
+    // Exposition text escapes ~one byte in ten (newlines, label quotes).
+    let mut out = String::with_capacity(text.len() + text.len() / 8 + key.len() + 16);
+    out.push_str("{\"ok\":true,\"");
+    out.push_str(key);
+    out.push_str("\":\"");
+    push_json_escaped(&mut out, text);
+    out.push_str("\"}");
+    out
+}
+
+/// Appends `s` JSON-escaped (without quotes) with the serializer's exact
+/// table: `"` and `\` get a backslash; newline, carriage return, tab,
+/// backspace and form feed become `\n` `\r` `\t` `\b` `\f`; every other
+/// control character becomes `\u00XX`; everything else is copied
+/// verbatim, runs of plain bytes as one slice.
+fn push_json_escaped(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
 }
 
 /// Reply for `trace` (span trees then stream separately).
@@ -1391,6 +1436,55 @@ mod tests {
                 max_us: 42,
             }
         );
+    }
+
+    /// The direct-escape reply lines against the serializer path they
+    /// replace, as the oracle: byte-identical output that parses back to
+    /// the input, for every control byte, quote, backslash, multi-byte
+    /// UTF-8, and a multi-megabyte exposition with hostile label values.
+    #[test]
+    fn text_reply_lines_match_the_serializer() {
+        let mut hostile: String = (0u8..0x20).map(char::from).collect();
+        hostile.push_str("\"\\é✓\u{7f} plain tail");
+        let mut reg = elm_runtime::Registry::new();
+        let h = elm_runtime::Histogram::new();
+        h.observe(1_000);
+        let snap = h.snapshot();
+        for session in 0..100 {
+            let sid = session.to_string();
+            for node in 0..8 {
+                let node = node.to_string();
+                reg.histogram(
+                    "elm_node_compute_seconds",
+                    "Per-node compute time per event.",
+                    &[
+                        ("session", &sid),
+                        ("node", &node),
+                        ("label", "merge le=\"0.5\" of a\\b\nc ✓"),
+                    ],
+                    &snap,
+                    1e-9,
+                );
+            }
+        }
+        let exposition = reg.render();
+        assert!(exposition.len() >= 3_000_000, "{}", exposition.len());
+        for text in [hostile, exposition] {
+            for (reply, key) in [
+                (metrics_line as fn(&str) -> String, "metrics"),
+                (blackbox_line, "blackbox"),
+            ] {
+                let got = reply(&text);
+                let want = line(obj(vec![
+                    ("ok", Json::Bool(true)),
+                    (key, Json::Str(text.clone())),
+                ]));
+                assert!(got == want, "{key} line differs from the serializer's");
+                let parsed: Json = serde_json::from_str(&got).unwrap();
+                assert_eq!(parsed.get("ok"), Some(&Json::Bool(true)));
+                assert!(parsed.get(key).and_then(Json::as_str) == Some(text.as_str()));
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::protocol::{
 };
 use crate::registry::{ProgramSpec, Registry};
 use crate::session::{SessionConfig, SessionId, TraceMailbox};
-use crate::shard::{Command, ShardHandle, ShardStats};
+use crate::shard::{Command, ShardCounters, ShardHandle, ShardStats};
 use std::sync::Arc;
 
 /// Server-wide configuration.
@@ -413,70 +413,61 @@ impl Server {
     /// Global counters plus per-session statistics for every live session.
     pub fn stats(&self) -> (ServerStats, Vec<SessionStats>) {
         let per_shard = self.collect_shard_stats();
-        let mut sessions: Vec<SessionStats> = Vec::new();
-        let mut samples: Vec<u64> = Vec::new();
+        let admission = per_shard
+            .iter()
+            .fold(AdmissionStats::default(), |a, shard| {
+                a.merged(&shard.admission)
+            });
+        let ShardTotals {
+            counters,
+            sessions,
+            mut samples,
+        } = ShardTotals::fold(per_shard);
         let mut global = ServerStats {
-            sessions_live: 0,
-            opened: 0,
-            closed: 0,
-            evicted_idle: 0,
-            recovery_failed: 0,
+            sessions_live: sessions.len() as u64,
+            opened: counters.opened,
+            closed: counters.closed,
+            evicted_idle: counters.evicted_idle,
+            recovery_failed: counters.recovery_failed,
             restarts: 0,
             replayed_events: 0,
             snapshot_count: 0,
             runtime: StatsSnapshot::default(),
             ingress: IngressStats::default(),
             recovery: RecoveryStats::default(),
-            latency: LatencySummary::default(),
+            latency: LatencySummary::compute(&mut samples),
             traps: TrapStats::default(),
-            admission: AdmissionStats::default(),
+            admission,
         };
-        for shard in per_shard {
-            global.opened += shard.counters.opened;
-            global.closed += shard.counters.closed;
-            global.evicted_idle += shard.counters.evicted_idle;
-            global.recovery_failed += shard.counters.recovery_failed;
-            global.sessions_live += shard.sessions.len() as u64;
-            global.admission = global.admission.merged(&shard.admission);
-            for s in &shard.sessions {
-                global.runtime = global.runtime.merged(&s.runtime);
-                global.ingress = global.ingress.merged(&s.ingress);
-                global.recovery = global.recovery.merged(&s.recovery);
-                global.traps = global.traps.merged(&s.traps);
-            }
-            sessions.extend(shard.sessions);
-            samples.extend(shard.samples);
+        for s in &sessions {
+            global.runtime = global.runtime.merged(&s.runtime);
+            global.ingress = global.ingress.merged(&s.ingress);
+            global.recovery = global.recovery.merged(&s.recovery);
+            global.traps = global.traps.merged(&s.traps);
         }
         global.restarts = global.recovery.restarts;
         global.replayed_events = global.recovery.replayed_events;
         global.snapshot_count = global.recovery.snapshot_count;
-        global.latency = LatencySummary::compute(&mut samples);
-        sessions.sort_by_key(|s| s.session);
         (global, sessions)
     }
 
     /// Renders every server metric family as Prometheus exposition text —
     /// the payload behind both the `metrics` wire verb and `GET /metrics`.
+    /// The cluster and flight-recorder sections are appended to the same
+    /// buffer.
     pub fn metrics_text(&self) -> String {
         let per_shard = self.collect_shard_stats();
         let shard_depths: Vec<u64> = per_shard.iter().map(|s| s.queue_depth).collect();
         let admissions: Vec<AdmissionStats> = per_shard.iter().map(|s| s.admission).collect();
         let backlogs: Vec<u64> = per_shard.iter().map(|s| s.cmd_backlog).collect();
-        let mut sessions: Vec<SessionStats> = Vec::new();
-        let mut samples: Vec<u64> = Vec::new();
-        let mut counters = crate::shard::ShardCounters::default();
-        for shard in per_shard {
-            counters.opened += shard.counters.opened;
-            counters.closed += shard.counters.closed;
-            counters.evicted_idle += shard.counters.evicted_idle;
-            counters.recovery_failed += shard.counters.recovery_failed;
-            sessions.extend(shard.sessions);
-            samples.extend(shard.samples);
-        }
-        sessions.sort_by_key(|s| s.session);
+        let ShardTotals {
+            counters,
+            sessions,
+            mut samples,
+        } = ShardTotals::fold(per_shard);
         let latency_sum_us: u64 = samples.iter().sum();
         let latency = LatencySummary::compute(&mut samples);
-        let text = crate::metrics::render_prometheus(
+        let mut text = crate::metrics::render_prometheus(
             &counters,
             &sessions,
             &shard_depths,
@@ -489,11 +480,11 @@ impl Server {
             &latency,
             latency_sum_us,
         );
-        let text = match self.cluster() {
-            Some(cluster) => format!("{text}{}", cluster.render_metrics(sessions.len() as i64)),
-            None => text,
-        };
-        format!("{text}{}", crate::blackbox::blackbox().render_metrics())
+        if let Some(cluster) = self.cluster() {
+            text.push_str(&cluster.render_metrics(sessions.len() as i64));
+        }
+        text.push_str(&crate::blackbox::blackbox().render_metrics());
+        text
     }
 
     /// Renders the cluster-wide federated exposition (this peer's scrape
@@ -521,6 +512,35 @@ impl Server {
         for shard in self.shards {
             shard.shutdown();
         }
+    }
+}
+
+/// The shard replies folded into one server-wide view: lifecycle
+/// counters summed, every live session's statistics (sorted by id), and
+/// every session's raw latency samples.
+struct ShardTotals {
+    counters: ShardCounters,
+    sessions: Vec<SessionStats>,
+    samples: Vec<u64>,
+}
+
+impl ShardTotals {
+    fn fold(per_shard: Vec<ShardStats>) -> ShardTotals {
+        let mut totals = ShardTotals {
+            counters: ShardCounters::default(),
+            sessions: Vec::new(),
+            samples: Vec::new(),
+        };
+        for shard in per_shard {
+            totals.counters.opened += shard.counters.opened;
+            totals.counters.closed += shard.counters.closed;
+            totals.counters.evicted_idle += shard.counters.evicted_idle;
+            totals.counters.recovery_failed += shard.counters.recovery_failed;
+            totals.sessions.extend(shard.sessions);
+            totals.samples.extend(shard.samples);
+        }
+        totals.sessions.sort_by_key(|s| s.session);
+        totals
     }
 }
 
